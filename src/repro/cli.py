@@ -610,7 +610,6 @@ def cmd_serve(args, out) -> int:
         cs_ttl=args.cs_ttl if args.cs_ttl > 0 else None,
         pit_capacity=args.pit_capacity if args.pit_capacity > 0 else None,
         pit_eviction=args.pit_eviction,
-        flow_cache=args.flow_cache,
         content_count=args.content_count,
         seed=args.seed,
         mitigation=args.mitigation,
@@ -1069,12 +1068,6 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
     )
     serve.add_argument(
         "--pit-eviction", choices=["lru", "fifo"], default="lru"
-    )
-    serve.add_argument(
-        "--flow-cache",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="flow-level decision cache in front of every shard",
     )
     serve.add_argument("--content-count", type=int, default=512)
     serve.add_argument("--seed", type=int, default=7)

@@ -7,8 +7,8 @@ them.  This package proves the repo's executors agree:
 - :mod:`repro.conformance.reference` -- the deliberately naive
   Algorithm 1 interpreter every optimization is measured against;
 - :mod:`repro.conformance.executors` -- the normalized executor matrix
-  (process / batch / flow cache / engine backends / degrade policies /
-  PISA pipeline);
+  (compiled batch walk / flow cache / columnar / engine backends /
+  degrade policies / PISA pipeline / serve / fabric);
 - :mod:`repro.conformance.differ` -- per-packet + state diffing into a
   structured :class:`DivergenceReport`;
 - :mod:`repro.conformance.fuzzer` -- seeded wire fuzzing with automatic

@@ -155,29 +155,6 @@ def run_reference(
     )
 
 
-def _run_process(scenario, wires, cost_model) -> ExecutionResult:
-    processor = RouterProcessor(
-        scenario.state(), registry=scenario.registry(), cost_model=cost_model
-    )
-    outcomes: List[Optional[WireOutcome]] = []
-    notes: List[Optional[Tuple[str, ...]]] = []
-    cycles: List[Optional[Tuple[int, int, int]]] = []
-    for wire in wires:
-        try:
-            result = processor.process(wire)
-        except Exception as exc:
-            outcomes.append(outcome_from_exception(exc))
-            notes.append(exception_notes(exc))
-            cycles.append(None)
-        else:
-            outcomes.append(outcome_from_result(result))
-            notes.append(result.notes)
-            cycles.append(_cycles_of(result))
-    return ExecutionResult(
-        outcomes, notes, cycles, state_fingerprint(processor.state)
-    )
-
-
 def _run_batch(
     scenario, wires, cost_model, flow_cache: bool, columnar: bool = False
 ) -> ExecutionResult:
@@ -328,7 +305,6 @@ def _run_serve(scenario, wires, cost_model) -> ExecutionResult:
             batch_max=16,
             max_inflight=max(len(wires), 1),
             ring_capacity=max(len(wires), 16),
-            flow_cache=False,
         ),
         state_factory=scenario.state_factory,
         registry_factory=scenario.registry_factory,
@@ -506,9 +482,8 @@ class ExecutorSpec:
 
 
 DEFAULT_EXECUTORS: Tuple[ExecutorSpec, ...] = (
-    ExecutorSpec(
-        "process", _run_process, compare_notes=True, compare_cycles=True
-    ),
+    # RouterProcessor.process is a batch of one through the same
+    # compiled walk, so "process-batch" covers it.
     ExecutorSpec(
         "process-batch",
         _run_process_batch,

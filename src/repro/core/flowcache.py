@@ -338,8 +338,9 @@ class FlowDecisionCache:
     def sync(self, token: tuple) -> None:
         """Flush every entry when the generation token moved.
 
-        Called once per *packet* by the processor, so a registry/FIB
-        mutation between two packets of one batch -- not just between
+        Called by the processor once per materialized batch and once
+        per *packet* of a lazy iterable, so a registry/FIB mutation
+        between two packets of one batch -- not just between
         ``process_batch`` calls -- can never serve a stale decision.
         """
         if token != self._token:

@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.core.flowcache import FlowDecisionCache, template_from_result
-from repro.core.fn import FieldOperation, OperationKey
-from repro.core.header import DipHeader
+from repro.core.fn import FN_ENCODED_SIZE, FieldOperation, OperationKey
+from repro.core.header import BASIC_HEADER_SIZE, MAX_LOC_LEN, DipHeader
 from repro.core.operations.base import (
     Decision,
     OperationContext,
@@ -109,7 +109,7 @@ class _CompiledProgram:
 
     A DIP "program" is the FN-definition region of the header.  Packets
     of one flow (and of most workloads) repeat the same program, so the
-    batch path performs the per-program work once and caches it here:
+    walk performs the per-program work once and caches it here:
 
     - FN-triple decode (when fed raw bytes),
     - operation-module dispatch (registry lookups),
@@ -178,9 +178,9 @@ class _CompiledProgram:
         self.cacheable = all(
             step[2].pure for step in steps if step[0] == _STEP_EXECUTE
         )
-        # Per-FN-key execute counts for the telemetry op counters: the
-        # instrumented walk attributes one program's worth of ops per
-        # packet (exact for completed walks; an early-exit drop still
+        # Per-FN-key execute counts for the telemetry op counters: each
+        # walked packet is attributed one program's worth of ops
+        # (exact for completed walks; an early-exit drop still
         # counts the full program -- documented in DESIGN.md 3.8).
         op_counts: Dict[int, int] = {}
         for fn in executed_fns:
@@ -274,6 +274,12 @@ class ProcessResult:
 class RouterProcessor:
     """One DIP router's packet processing engine.
 
+    Every entry point runs the same compiled walk
+    (:meth:`_process_compiled` over a :class:`_CompiledProgram`):
+    :meth:`process` is a batch of one, an attached flow cache answers
+    repeat flows in front of the walk, and telemetry accumulates in one
+    place per batch.
+
     Parameters
     ----------
     state:
@@ -291,6 +297,7 @@ class RouterProcessor:
         exception class name) instead of propagating.  Off by default
         so direct callers keep exact exception identity; the engine's
         shard workers turn it on (a worker must survive any packet).
+        :meth:`process` always propagates.
     """
 
     def __init__(
@@ -306,19 +313,16 @@ class RouterProcessor:
         self.quarantine = quarantine
         self.registry = registry if registry is not None else default_registry()
         self.cost_model = cost_model
-        # Optional flow-level decision cache in front of the batch
-        # path (repro.core.flowcache); None keeps PR 1 behaviour.
+        # Optional flow-level decision cache in front of the compiled
+        # walk (repro.core.flowcache); None walks every packet.
         self.flow_cache = flow_cache
-        # Program cache for the batch fast path, keyed by the raw
-        # FN-definition bytes (raw-packet input) and by the decoded fns
-        # tuple (DipPacket input); both keys map to one entry.
+        # Compiled-program cache, keyed by the raw FN-definition bytes
+        # (raw-packet input) and by the decoded fns tuple (DipPacket
+        # input); both keys map to one entry.
         self._programs: Dict[object, _CompiledProgram] = {}
         self._programs_version = self.registry.version
-        # Optional telemetry (repro.telemetry.MetricsRegistry).  When
-        # enabled, the compiled-walk entry point is shadowed with an
-        # instrumented bound method; when disabled (None or a falsy
-        # NullRegistry) nothing is installed, so the per-packet walk
-        # carries zero telemetry conditionals.
+        # Optional telemetry (repro.telemetry.MetricsRegistry); None
+        # (or a falsy NullRegistry) records nothing.
         self.telemetry = telemetry if telemetry else None
         if self.telemetry:
             self._tel_cycles = self.telemetry.histogram(
@@ -327,17 +331,6 @@ class RouterProcessor:
             )
             self._tel_op_counters: Dict[int, object] = {}
             self._tel_decision_counters: Dict[object, object] = {}
-            # Pending per-batch accumulators (the FlowDecisionCache
-            # publish pattern): the instrumented walk only appends to
-            # plain Python lists; _tel_flush() folds them into the
-            # registry once per batch via C-speed Counter aggregation,
-            # so the enabled path pays three list appends per packet
-            # instead of histogram/counter bookkeeping.
-            self._tel_pending_cycles: List[int] = []
-            self._tel_pending_programs: List[object] = []
-            self._tel_pending_decisions: List[object] = []
-            self._tel_pending_ops: Dict[int, int] = {}
-            self._process_compiled = self._process_compiled_instrumented
 
     # ------------------------------------------------------------------
     # Algorithm 1
@@ -348,142 +341,16 @@ class RouterProcessor:
         ingress_port: int = 0,
         now: float = 0.0,
     ) -> ProcessResult:
-        """Run Algorithm 1 on one packet."""
-        # Lines 1-3: parse basic header, FN definitions, FN locations.
-        if isinstance(packet, (bytes, bytearray)):
-            packet = DipPacket.decode(bytes(packet))
-        header = packet.header
-        header.validate_field_ranges()
+        """Run Algorithm 1 on one packet.
 
-        tracker = LimitTracker(self.state.limits)
+        A batch of one with trace notes collected.  Quarantine never
+        applies here: a packet whose decode or walk raises propagates
+        the exception unchanged.
+        """
+        return self._run(
+            (packet,), ingress_port, now, collect_notes=True, quarantine=False
+        )[0]
 
-        if header.hop_limit == 0:
-            return ProcessResult(
-                decision=Decision.DROP, notes=("hop limit expired",)
-            )
-
-        ctx = OperationContext(
-            state=self.state,
-            locations=header.locations_view(),
-            payload=packet.payload,
-            ingress_port=ingress_port,
-            now=now,
-            at_host=False,
-            fns=header.fns,
-        )
-
-        parse_cycles = 0
-        try:
-            tracker.check_fn_count(header.fn_num)
-            if self.cost_model is not None:
-                parse_cycles = self.cost_model.parse_cycles(
-                    header.header_length, packet.size
-                )
-                tracker.charge_cycles(parse_cycles)
-        except ProcessingLimitError as exc:
-            return ProcessResult(
-                decision=Decision.DROP,
-                notes=(str(exc),),
-                cycles=parse_cycles,
-                cycles_sequential=parse_cycles,
-                cycles_parallel=parse_cycles,
-                scratch=ctx.scratch,
-                failure="limit",
-            )
-
-        notes: List[str] = []
-        fate: Optional[OperationResult] = None
-        executed_fns: List[FieldOperation] = []
-        executed_cycles: List[int] = []
-
-        # Lines 4-17: walk the FNs.
-        for fn in header.fns:
-            if fn.tag:
-                notes.append(f"{fn}: skipped (host operation)")
-                continue
-
-            operation = self.registry.find(fn.key)
-            if operation is None:
-                if self._is_path_critical(fn.key):
-                    notes.append(f"{fn}: unsupported path-critical FN")
-                    return ProcessResult(
-                        decision=Decision.UNSUPPORTED,
-                        notes=tuple(notes),
-                        unsupported_key=fn.key,
-                        cycles=parse_cycles,
-                        cycles_sequential=parse_cycles,
-                        cycles_parallel=parse_cycles,
-                        scratch=ctx.scratch,
-                        failure="unsupported",
-                    )
-                notes.append(f"{fn}: unsupported FN ignored")
-                continue
-
-            fn_cycles = 0
-            if self.cost_model is not None:
-                fn_cycles = self.cost_model.fn_cycles(fn)
-            try:
-                tracker.charge_cycles(fn_cycles)
-                result = operation.execute(ctx, fn)
-                tracker.charge_state(result.state_bytes)
-            except ProcessingLimitError as exc:
-                notes.append(f"{fn}: {exc}")
-                return self._finish(
-                    Decision.DROP, (), None, notes, parse_cycles,
-                    executed_fns, executed_cycles, header, ctx, None,
-                    failure="limit",
-                )
-            except (OperationError, FieldRangeError) as exc:
-                notes.append(f"{fn}: operation failed: {exc}")
-                return self._finish(
-                    Decision.DROP, (), None, notes, parse_cycles,
-                    executed_fns, executed_cycles, header, ctx, None,
-                    failure=_op_failure(exc),
-                )
-
-            executed_fns.append(fn)
-            executed_cycles.append(fn_cycles)
-            notes.append(f"{fn}: {result.note or result.decision.value}")
-
-            if result.decision is Decision.DROP:
-                return self._finish(
-                    Decision.DROP, (), None, notes, parse_cycles,
-                    executed_fns, executed_cycles, header, ctx, None,
-                )
-            if result.decision in (Decision.FORWARD, Decision.DELIVER):
-                fate = result
-
-        # Line 18: end processing -- assemble the outcome.
-        if fate is None and self.state.default_port is not None:
-            fate = OperationResult.forward(
-                self.state.default_port, note="static egress (default port)"
-            )
-            notes.append("static egress (default port)")
-        if fate is None:
-            return self._finish(
-                Decision.DROP, (), None,
-                notes + ["no forwarding decision"], parse_cycles,
-                executed_fns, executed_cycles, header, ctx, None,
-            )
-        out_packet = None
-        if fate.decision is Decision.FORWARD:
-            out_header = DipHeader(
-                fns=header.fns,
-                locations=ctx.locations.to_bytes(),
-                next_header=header.next_header,
-                hop_limit=header.hop_limit - 1,
-                parallel=header.parallel,
-                reserved=header.reserved,
-            )
-            out_packet = DipPacket(header=out_header, payload=packet.payload)
-        return self._finish(
-            fate.decision, fate.ports, out_packet, notes, parse_cycles,
-            executed_fns, executed_cycles, header, ctx, None,
-        )
-
-    # ------------------------------------------------------------------
-    # batch fast path
-    # ------------------------------------------------------------------
     def process_batch(
         self,
         packets,
@@ -493,12 +360,11 @@ class RouterProcessor:
     ) -> List[ProcessResult]:
         """Run Algorithm 1 over a batch of packets, amortizing program work.
 
-        Decision-identical to calling :meth:`process` per packet (same
-        decisions, ports, rewritten bytes, cycles and scratch; proven by
-        ``tests/engine/test_process_batch.py``), but header parse,
-        FN-triple decode, module dispatch and the parallelism/conflict
-        analysis happen once per *distinct FN program* instead of once
-        per packet.
+        The same walk as :meth:`process` (same decisions, ports,
+        rewritten bytes, cycles and scratch); header parse, FN-triple
+        decode, module dispatch and the parallelism/conflict analysis
+        happen once per *distinct FN program* instead of once per
+        packet.
 
         Parameters
         ----------
@@ -506,71 +372,75 @@ class RouterProcessor:
             ``DipPacket`` instances or raw packet ``bytes``.
         collect_notes:
             When True the per-FN trace notes are produced exactly like
-            the per-packet path; the default skips their formatting
-            cost (fate-relevant notes -- drops, limit violations -- are
-            kept either way).
+            :meth:`process`; the default skips their formatting cost
+            (fate-relevant notes -- drops, limit violations -- are kept
+            either way).
         """
+        return self._run(
+            packets, ingress_port, now, collect_notes, self.quarantine
+        )
+
+    def _run(
+        self,
+        packets,
+        ingress_port: int,
+        now: float,
+        collect_notes: bool,
+        quarantine: bool,
+    ) -> List[ProcessResult]:
+        """The one batch loop behind :meth:`process` and :meth:`process_batch`."""
         if self._programs_version != self.registry.version:
             self._programs.clear()
             self._programs_version = self.registry.version
-        if self.flow_cache is not None:
-            try:
-                return self._process_batch_cached(
-                    packets, ingress_port, now, collect_notes
-                )
-            finally:
-                if self.telemetry:
-                    self._tel_flush()
-        out: List[ProcessResult] = []
+        cache = self.flow_cache
+        if cache is not None:
+            # A materialized sequence runs no caller code between
+            # packets, so one generation check covers the whole batch;
+            # a lazy iterable can mutate decision-relevant state between
+            # yields and is re-checked per packet.
+            lazy = not isinstance(packets, (list, tuple))
+            if not lazy:
+                cache.sync(self._state_token())
+        walk = self._process_compiled
         telemetry = self.telemetry
+        if telemetry:
+            cycles: List[int] = []
+            programs: List[_CompiledProgram] = []
+            decisions: List[Decision] = []
+        out: List[ProcessResult] = []
+        append = out.append
         try:
-            if telemetry:
-                # Same walk + accumulation as the instrumented wrapper,
-                # inlined so the batch loop skips one call frame per
-                # packet (benchmarks/test_telemetry_overhead.py).
-                plain = RouterProcessor._process_compiled
-                cycles_append = self._tel_pending_cycles.append
-                programs_append = self._tel_pending_programs.append
-                decisions_append = self._tel_pending_decisions.append
-                for packet in packets:
-                    try:
+            for packet in packets:
+                try:
+                    if cache is not None:
+                        if lazy:
+                            cache.sync(self._state_token())
+                        result, program = self._through_cache(
+                            packet, ingress_port, now, collect_notes
+                        )
+                    else:
                         if isinstance(packet, (bytes, bytearray)):
                             packet, program = self._decode_raw(bytes(packet))
                         else:
                             program = self._compiled(packet.header.fns)
-                        result = plain(
-                            self, packet, program, ingress_port, now,
-                            collect_notes,
+                        result = walk(
+                            packet, program, ingress_port, now, collect_notes
                         )
-                    except Exception as exc:
-                        if not self.quarantine:
-                            raise
-                        out.append(poison_result(exc))
-                        continue
-                    out.append(result)
-                    cycles_append(result.cycles)
-                    programs_append(program)
-                    decisions_append(result.decision)
-            else:
-                for packet in packets:
-                    try:
-                        if isinstance(packet, (bytes, bytearray)):
-                            packet, program = self._decode_raw(bytes(packet))
-                        else:
-                            program = self._compiled(packet.header.fns)
-                        out.append(
-                            self._process_compiled(
-                                packet, program, ingress_port, now,
-                                collect_notes,
-                            )
-                        )
-                    except Exception as exc:
-                        if not self.quarantine:
-                            raise
-                        out.append(poison_result(exc))
+                except Exception as exc:
+                    if not quarantine:
+                        raise
+                    append(poison_result(exc))
+                    continue
+                append(result)
+                # A cache hit (program None) is a walk that did not
+                # happen: it counts no ops, cycles or decision.
+                if telemetry and program is not None:
+                    cycles.append(result.cycles)
+                    programs.append(program)
+                    decisions.append(result.decision)
         finally:
             if telemetry:
-                self._tel_flush()
+                self._tel_record(cycles, programs, decisions)
         return out
 
     def _compiled(
@@ -586,41 +456,49 @@ class RouterProcessor:
             self._programs[raw_key] = program
         return program
 
+    def _wire_parts(self, data: bytes):
+        """Header fields of a raw packet whose FN program is compiled.
+
+        Returns ``(program, locations, next_header, hop_limit, parallel,
+        reserved, payload)`` straight off the wire, or None on a
+        program-cache miss or truncated data (the reference decoder then
+        raises the exact codec error, or compiles the program).
+        """
+        if len(data) < BASIC_HEADER_SIZE:
+            return None
+        defs_end = BASIC_HEADER_SIZE + FN_ENCODED_SIZE * data[2]
+        program = self._programs.get(data[BASIC_HEADER_SIZE:defs_end])
+        if program is None:
+            return None
+        parameter = int.from_bytes(data[4:6], "big")
+        total = defs_end + ((parameter >> 1) & MAX_LOC_LEN)
+        if len(data) < total:
+            return None
+        return (
+            program,
+            data[defs_end:total],
+            int.from_bytes(data[0:2], "big"),
+            data[3],
+            bool(parameter & 1),
+            (parameter >> 11) & 0x1F,
+            data[total:],
+        )
+
     def _decode_raw(self, data: bytes):
         """Decode one raw packet, reusing cached FN-definition decodes."""
-        from repro.core.header import BASIC_HEADER_SIZE, MAX_LOC_LEN
-        from repro.core.fn import FN_ENCODED_SIZE
-
-        if len(data) >= BASIC_HEADER_SIZE:
-            fn_num = data[2]
-            defs_end = BASIC_HEADER_SIZE + FN_ENCODED_SIZE * fn_num
-            program = self._programs.get(data[BASIC_HEADER_SIZE:defs_end])
-            if program is not None and len(data) >= defs_end:
-                parameter = int.from_bytes(data[4:6], "big")
-                loc_len = (parameter >> 1) & MAX_LOC_LEN
-                if len(data) >= defs_end + loc_len:
-                    header = _fast_header(
-                        program.fns,
-                        data[defs_end : defs_end + loc_len],
-                        int.from_bytes(data[0:2], "big"),
-                        data[3],
-                        bool(parameter & 1),
-                        (parameter >> 11) & 0x1F,
-                    )
-                    packet = object.__new__(DipPacket)
-                    object.__setattr__(packet, "header", header)
-                    object.__setattr__(
-                        packet, "payload", data[defs_end + loc_len :]
-                    )
-                    return packet, program
-        # Miss (or malformed): the reference decoder raises the exact
-        # codec errors and populates the cache for the next packet.
+        parts = self._wire_parts(data)
+        if parts is not None:
+            (program, locations, next_header, hop_limit, parallel, reserved,
+             payload) = parts
+            packet = _make_packet(
+                program.fns, locations, next_header, hop_limit, parallel,
+                reserved, payload,
+            )
+            return packet, program
         packet = DipPacket.decode(data)
-        from repro.core.header import BASIC_HEADER_SIZE as _BASE
-
-        defs_end = _BASE + 6 * len(packet.header.fns)
+        defs_end = BASIC_HEADER_SIZE + FN_ENCODED_SIZE * len(packet.header.fns)
         program = self._compiled(
-            packet.header.fns, raw_key=data[_BASE:defs_end]
+            packet.header.fns, raw_key=data[BASIC_HEADER_SIZE:defs_end]
         )
         return packet, program
 
@@ -632,7 +510,7 @@ class RouterProcessor:
         now: float,
         collect_notes: bool,
     ) -> ProcessResult:
-        """One packet walk over a compiled program (mirrors process()).
+        """One packet walk over a compiled program (Algorithm 1, lines 4-18).
 
         The per-packet budget accounting is inlined (plain integer
         locals instead of a :class:`LimitTracker`); the rare violation
@@ -776,8 +654,14 @@ class RouterProcessor:
                 final = fate.decision
                 ports = fate.ports
                 if final is Decision.FORWARD:
-                    out_packet = _fast_output_packet(
-                        header, ctx.locations.to_bytes(), packet.payload
+                    out_packet = _make_packet(
+                        header.fns,
+                        ctx.locations.to_bytes(),
+                        header.next_header,
+                        header.hop_limit - 1,
+                        header.parallel,
+                        header.reserved,
+                        packet.payload,
                     )
 
         if cost_model is None:
@@ -786,96 +670,62 @@ class RouterProcessor:
             sequential = parse_cycles + program.cum_sequential[executed]
             parallel = parse_cycles + program.cum_parallel[executed]
             effective = parallel if header.parallel else sequential
-        result = object.__new__(ProcessResult)
-        set_attr = object.__setattr__
-        set_attr(result, "decision", final)
-        set_attr(result, "ports", ports)
-        set_attr(result, "packet", out_packet)
-        set_attr(result, "notes", tuple(notes))
-        set_attr(result, "cycles", effective)
-        set_attr(result, "cycles_sequential", sequential)
-        set_attr(result, "cycles_parallel", parallel)
-        set_attr(result, "unsupported_key", None)
-        set_attr(result, "scratch", ctx.scratch)
-        set_attr(result, "failure", failure)
-        return result
-
-    # ------------------------------------------------------------------
-    # telemetry (repro.telemetry) -- installed only when enabled
-    # ------------------------------------------------------------------
-    def _process_compiled_instrumented(
-        self, packet, program, ingress_port, now, collect_notes
-    ) -> ProcessResult:
-        """The compiled walk plus metric recording (telemetry on only).
-
-        Installed as an instance attribute shadowing
-        :meth:`_process_compiled` so the disabled path (the default)
-        pays nothing -- not even a branch.  Flow-cache *hits* bypass
-        this on purpose: the op counters measure pipeline executions,
-        and a hit is exactly a walk that did not happen (the cache's
-        own hit counter tells that story).
-        """
-        result = RouterProcessor._process_compiled(
-            self, packet, program, ingress_port, now, collect_notes
+        return _result(
+            final, ports, out_packet, tuple(notes), effective, sequential,
+            parallel, None, ctx.scratch, failure,
         )
-        # Per-packet cost: three list appends.  The registry work
-        # (bucket math, labelled-counter lookups) happens once per
-        # batch in _tel_flush().
-        self._tel_pending_cycles.append(result.cycles)
-        self._tel_pending_programs.append(program)
-        self._tel_pending_decisions.append(result.decision)
-        return result
 
-    def _tel_flush(self) -> None:
-        """Drain the pending telemetry accumulators into the registry.
+    # ------------------------------------------------------------------
+    # telemetry (repro.telemetry)
+    # ------------------------------------------------------------------
+    def _tel_record(
+        self,
+        cycles: List[int],
+        programs: List[_CompiledProgram],
+        decisions: List[Decision],
+    ) -> None:
+        """Fold one batch's walks into the registry (telemetry on only).
 
-        Called once per batch (and by the columnar specializer after
-        its bulk feed).  Cycle observations collapse by distinct value
-        before touching the histogram; op executions expand each
-        program's per-key counts by how many packets walked it (same
-        attribution as the per-packet path: an early-exit drop still
-        counts the full program, DESIGN.md 3.8).
+        The one accumulation point: the batch loop and the columnar
+        specializer's bulk feed both call it once per batch with one
+        entry per *walked* packet in each list.  Flow-cache hits are
+        not walks and are left out on purpose (the cache's own hit
+        counter tells that story).  Cycle observations collapse by
+        distinct value before touching the histogram; op executions
+        expand each program's per-key counts by how many packets walked
+        it (an early-exit drop still counts the full program, DESIGN.md
+        3.8).
         """
-        cycles = self._tel_pending_cycles
         if cycles:
             observe_count = self._tel_cycles.observe_count
             for value, count in Counter(cycles).items():
                 observe_count(value, count)
-            cycles.clear()
-        programs = self._tel_pending_programs
-        ops = self._tel_pending_ops
-        if programs:
-            for program, packets in Counter(programs).items():
-                for key, count in program.op_counts.items():
-                    ops[key] = ops.get(key, 0) + count * packets
-            programs.clear()
-        if ops:
-            op_counters = self._tel_op_counters
-            for key, count in ops.items():
-                counter = op_counters.get(key)
-                if counter is None:
-                    counter = self.telemetry.counter(
-                        "processor_fn_ops_total",
-                        "operation-module executions by FN key",
-                        labels=(("key", _key_label(key)),),
-                    )
-                    op_counters[key] = counter
-                counter.inc(count)
-            ops.clear()
-        decisions = self._tel_pending_decisions
-        if decisions:
-            decision_counters = self._tel_decision_counters
-            for decision, count in Counter(decisions).items():
-                counter = decision_counters.get(decision)
-                if counter is None:
-                    counter = self.telemetry.counter(
-                        "processor_decisions_total",
-                        "packet fates decided by the FN walk",
-                        labels=(("decision", decision.value),),
-                    )
-                    decision_counters[decision] = counter
-                counter.inc(count)
-            decisions.clear()
+        ops: Dict[int, int] = {}
+        for program, packets in Counter(programs).items():
+            for key, count in program.op_counts.items():
+                ops[key] = ops.get(key, 0) + count * packets
+        op_counters = self._tel_op_counters
+        for key, count in ops.items():
+            counter = op_counters.get(key)
+            if counter is None:
+                counter = self.telemetry.counter(
+                    "processor_fn_ops_total",
+                    "operation-module executions by FN key",
+                    labels=(("key", _key_label(key)),),
+                )
+                op_counters[key] = counter
+            counter.inc(count)
+        decision_counters = self._tel_decision_counters
+        for decision, count in Counter(decisions).items():
+            counter = decision_counters.get(decision)
+            if counter is None:
+                counter = self.telemetry.counter(
+                    "processor_decisions_total",
+                    "packet fates decided by the FN walk",
+                    labels=(("decision", decision.value),),
+                )
+                decision_counters[decision] = counter
+            counter.inc(count)
 
     # ------------------------------------------------------------------
     # flow-level decision cache (repro.core.flowcache)
@@ -903,284 +753,86 @@ class RouterProcessor:
             len(state.local_v6),
         )
 
-    def _process_batch_cached(
-        self,
-        packets,
-        ingress_port: int,
-        now: float,
-        collect_notes: bool,
-    ) -> List[ProcessResult]:
-        """The batch loop with the decision cache in front (hot path).
+    def _through_cache(
+        self, packet, ingress_port: int, now: float, collect_notes: bool
+    ):
+        """One packet through the flow cache in front of the compiled walk.
 
-        Raw packets are keyed straight off the wire bytes: a steady
-        -state hit materializes neither the input header nor the input
-        packet object -- only the rewritten output packet.  Anything off
-        the straight line (``DipPacket`` inputs, program-cache misses,
-        malformed data, bypass conditions) drops to
-        :meth:`_process_cached`, which is decision-identical by
-        construction.
+        Returns ``(result, program)``; ``program`` is None on a hit (no
+        walk ran).  Cacheability is a property of the compiled program:
+        impure programs, expired hop limits and out-of-range target
+        fields count one bypass and walk, with no key built.  A raw
+        packet whose program is already compiled is keyed straight off
+        the wire bytes, so a hit builds only the output packet.  The
+        caller has already synced the cache against the state token.
         """
-        from repro.core.fn import FN_ENCODED_SIZE
-        from repro.core.header import BASIC_HEADER_SIZE, MAX_LOC_LEN
-
         cache = self.flow_cache
-        # A materialized sequence runs no caller code between packets,
-        # so one generation check covers the whole batch; a lazy
-        # iterable can mutate decision-relevant state between yields
-        # and is re-checked per packet.
-        per_packet_sync = not isinstance(packets, (list, tuple))
-        if not per_packet_sync:
-            cache.sync(self._state_token())
-        cost_model = self.cost_model
-        entries = cache._entries  # one dict probe per packet
-        entries_get = entries.get
-        move_to_end = entries.move_to_end
-        programs_get = self._programs.get
-        process_cached = self._process_cached
-        new = object.__new__
-        set_attr = object.__setattr__
-        out: List[ProcessResult] = []
-        append = out.append
-        quarantine = self.quarantine
-        for packet in packets:
-            if per_packet_sync:
-                cache.sync(self._state_token())
-            if not isinstance(packet, (bytes, bytearray)):
-                try:
-                    program = self._compiled(packet.header.fns)
-                    append(
-                        process_cached(
-                            packet, program, ingress_port, now, collect_notes
-                        )
-                    )
-                except Exception as exc:
-                    if not quarantine:
-                        raise
-                    append(poison_result(exc))
-                continue
+        parts = None
+        if isinstance(packet, (bytes, bytearray)):
             data = bytes(packet)
-            fast = len(data) >= BASIC_HEADER_SIZE
-            if fast:
-                defs_end = BASIC_HEADER_SIZE + FN_ENCODED_SIZE * data[2]
-                program = programs_get(data[BASIC_HEADER_SIZE:defs_end])
-                parameter = int.from_bytes(data[4:6], "big")
-                loc_len = (parameter >> 1) & MAX_LOC_LEN
-                total = defs_end + loc_len
-                hop_limit = data[3]
-                fast = (
-                    program is not None
-                    and len(data) >= total
-                    and program.cacheable
-                    and hop_limit != 0
-                    and program.max_field_end <= loc_len * 8
-                )
-            if not fast:
-                # Program-cache miss, truncated data (exact codec errors
-                # surface from the reference decoder) or a bypass
-                # condition: the generic per-packet path handles -- and
-                # counts -- all of them.
-                try:
-                    packet, program = self._decode_raw(data)
-                    append(
-                        process_cached(
-                            packet, program, ingress_port, now, collect_notes
-                        )
-                    )
-                except Exception as exc:
-                    if not quarantine:
-                        raise
-                    append(poison_result(exc))
-                continue
-            locations = data[defs_end:total]
-            parallel = bool(parameter & 1)
-            parse_cycles = (
-                cost_model.parse_cycles(total, len(data))
-                if cost_model is not None
-                else 0
-            )
-            if program.read_cover == loc_len:
-                values = locations
+            parts = self._wire_parts(data)
+            if parts is None:
+                packet, program = self._decode_raw(data)
             else:
-                slices = program.read_slices
-                if slices is not None:
-                    values = tuple(locations[a:b] for a, b in slices)
-                else:
-                    view = BitView(locations)
-                    values = tuple(
-                        view.get_uint(loc, length)
-                        for loc, length in program.reads
-                    )
-            key = (
+                (program, locations, next_header, hop_limit, parallel,
+                 reserved, payload) = parts
+                header_length = len(data) - len(payload)
+                packet = None
+        else:
+            program = self._compiled(packet.header.fns)
+        if parts is None:
+            header = packet.header
+            locations = header.locations
+            next_header = header.next_header
+            hop_limit = header.hop_limit
+            parallel = header.parallel
+            reserved = header.reserved
+            payload = packet.payload
+            header_length = header.header_length
+        if (
+            not program.cacheable
+            or hop_limit == 0
+            or program.max_field_end > len(locations) * 8
+        ):
+            cache.bypasses += 1
+            key = None
+        else:
+            cost_model = self.cost_model
+            # parse_cycles varies with packet size and feeds both the
+            # cycle totals and the budget checks, so it is in the key.
+            key = _flow_key(
                 program,
-                values,
-                parse_cycles,
+                locations,
+                cost_model.parse_cycles(
+                    header_length, header_length + len(payload)
+                )
+                if cost_model is not None
+                else 0,
                 parallel,
                 ingress_port,
                 collect_notes,
             )
-            entry = entries_get(key)
-            if entry is None:
-                cache.misses += 1
-                in_packet = new(DipPacket)
-                set_attr(
-                    in_packet,
-                    "header",
-                    _fast_header(
-                        program.fns,
-                        locations,
-                        int.from_bytes(data[0:2], "big"),
-                        hop_limit,
-                        parallel,
-                        (parameter >> 11) & 0x1F,
-                    ),
-                )
-                set_attr(in_packet, "payload", data[total:])
-                try:
-                    result = self._process_compiled(
-                        in_packet, program, ingress_port, now, collect_notes
-                    )
-                except Exception as exc:
-                    if not quarantine:
-                        raise
-                    append(poison_result(exc))
-                    continue
-                template = template_from_result(result, locations)
-                if template is not None:
-                    cache.put(key, template)
-                append(result)
-                continue
-            move_to_end(key)
-            cache.hits += 1
-            out_packet = None
-            if entry.has_packet:
-                loc_splices = entry.loc_splices
-                if loc_splices is None:
-                    out_locations = locations
-                else:
-                    buffer = bytearray(locations)
-                    for offset, replacement in loc_splices:
-                        buffer[offset : offset + len(replacement)] = (
-                            replacement
-                        )
-                    out_locations = bytes(buffer)
-                out_packet = new(DipPacket)
-                set_attr(
-                    out_packet,
-                    "header",
-                    _fast_header(
-                        program.fns,
-                        out_locations,
-                        int.from_bytes(data[0:2], "big"),
-                        hop_limit - 1,
-                        parallel,
-                        (parameter >> 11) & 0x1F,
-                    ),
-                )
-                set_attr(out_packet, "payload", data[total:])
-            result = new(ProcessResult)
-            set_attr(result, "decision", entry.decision)
-            set_attr(result, "ports", entry.ports)
-            set_attr(result, "packet", out_packet)
-            set_attr(result, "notes", entry.notes)
-            set_attr(result, "cycles", entry.cycles)
-            set_attr(result, "cycles_sequential", entry.cycles_sequential)
-            set_attr(result, "cycles_parallel", entry.cycles_parallel)
-            set_attr(result, "unsupported_key", entry.unsupported_key)
-            set_attr(result, "scratch", dict(entry.scratch))
-            set_attr(result, "failure", entry.failure)
-            append(result)
-        return out
-
-    def _process_cached(
-        self,
-        packet: DipPacket,
-        program: _CompiledProgram,
-        ingress_port: int,
-        now: float,
-        collect_notes: bool,
-    ) -> ProcessResult:
-        """One packet through the flow cache (decision-identical).
-
-        Stateful programs (any impure executed operation), expired hop
-        limits and out-of-range target fields bypass to the slow path;
-        everything else is answered from -- or seeds -- an exact-match
-        entry keyed on the read-field values.  The caller
-        (:meth:`_process_batch_cached`) has already synced the cache
-        against the state token.
-        """
-        cache = self.flow_cache
-        header = packet.header
-        locations = header.locations
-        if (
-            not program.cacheable
-            or header.hop_limit == 0
-            or program.max_field_end > len(locations) * 8
-        ):
-            cache.bypasses += 1
-            return self._process_compiled(
-                packet, program, ingress_port, now, collect_notes
-            )
-        cost_model = self.cost_model
-        # parse_cycles varies with packet size and feeds both the cycle
-        # totals and the budget checks, so it is part of the key.
-        parse_cycles = (
-            cost_model.parse_cycles(header.header_length, packet.size)
-            if cost_model is not None
-            else 0
-        )
-        if program.read_cover == len(locations):
-            values = locations
-        elif program.read_slices is not None:
-            values = tuple(locations[a:b] for a, b in program.read_slices)
-        else:
-            view = BitView(locations)
-            values = tuple(
-                view.get_uint(loc, length) for loc, length in program.reads
-            )
-        key = (
-            program,
-            values,
-            parse_cycles,
-            header.parallel,
-            ingress_port,
-            collect_notes,
-        )
-        entry = cache.get(key)
-        if entry is None:
+            entry = cache.get(key)
+            if entry is not None:
+                cache.hits += 1
+                return _hit_result(
+                    entry, program.fns, locations, next_header, hop_limit,
+                    parallel, reserved, payload,
+                ), None
             cache.misses += 1
-            result = self._process_compiled(
-                packet, program, ingress_port, now, collect_notes
+        if packet is None:
+            packet = _make_packet(
+                program.fns, locations, next_header, hop_limit, parallel,
+                reserved, payload,
             )
+        result = self._process_compiled(
+            packet, program, ingress_port, now, collect_notes
+        )
+        if key is not None:
             template = template_from_result(result, locations)
             if template is not None:
                 cache.put(key, template)
-            return result
-        cache.hits += 1
-        out_packet = None
-        if entry.has_packet:
-            if entry.loc_splices is None:
-                out_locations = locations
-            else:
-                buffer = bytearray(locations)
-                for offset, replacement in entry.loc_splices:
-                    buffer[offset : offset + len(replacement)] = replacement
-                out_locations = bytes(buffer)
-            out_packet = _fast_output_packet(
-                header, out_locations, packet.payload
-            )
-        result = object.__new__(ProcessResult)
-        set_attr = object.__setattr__
-        set_attr(result, "decision", entry.decision)
-        set_attr(result, "ports", entry.ports)
-        set_attr(result, "packet", out_packet)
-        set_attr(result, "notes", entry.notes)
-        set_attr(result, "cycles", entry.cycles)
-        set_attr(result, "cycles_sequential", entry.cycles_sequential)
-        set_attr(result, "cycles_parallel", entry.cycles_parallel)
-        set_attr(result, "unsupported_key", entry.unsupported_key)
-        set_attr(result, "scratch", dict(entry.scratch))
-        set_attr(result, "failure", entry.failure)
-        return result
+        return result, program
 
     # ------------------------------------------------------------------
     # helpers
@@ -1207,42 +859,6 @@ class RouterProcessor:
         # rebuild must flush the decision cache too.
         if self.flow_cache is not None:
             self.flow_cache.clear()
-
-    def _finish(
-        self,
-        decision: Decision,
-        ports: Tuple[int, ...],
-        out_packet: Optional[DipPacket],
-        notes: List[str],
-        parse_cycles: int,
-        executed_fns: List[FieldOperation],
-        executed_cycles: List[int],
-        header: DipHeader,
-        ctx: OperationContext,
-        unsupported_key: Optional[int],
-        failure: Optional[str] = None,
-    ) -> ProcessResult:
-        sequential = parse_cycles + sum(executed_cycles)
-        parallel = parse_cycles
-        if executed_fns:
-            levels = parallel_levels(executed_fns)
-            per_level: Dict[int, int] = {}
-            for level, cycles in zip(levels, executed_cycles):
-                per_level[level] = max(per_level.get(level, 0), cycles)
-            parallel += sum(per_level.values())
-        effective = parallel if header.parallel else sequential
-        return ProcessResult(
-            decision=decision,
-            ports=ports,
-            packet=out_packet,
-            notes=tuple(notes),
-            cycles=effective,
-            cycles_sequential=sequential,
-            cycles_parallel=parallel,
-            unsupported_key=unsupported_key,
-            scratch=ctx.scratch,
-            failure=failure,
-        )
 
 
 def _op_failure(exc: BaseException) -> Optional[str]:
@@ -1276,46 +892,122 @@ def _key_label(key: int) -> str:
 
 
 # ----------------------------------------------------------------------
-# batch-path constructors
+# hot-path constructors
 # ----------------------------------------------------------------------
-def _fast_header(
+_new = object.__new__
+_set_attr = object.__setattr__
+
+
+def _make_packet(
     fns: Tuple[FieldOperation, ...],
     locations: bytes,
     next_header: int,
     hop_limit: int,
     parallel: bool,
     reserved: int,
-) -> DipHeader:
-    """Build a DipHeader from pre-validated parts, skipping __post_init__.
+    payload: bytes,
+) -> DipPacket:
+    """Build a DipPacket from pre-validated parts, skipping __post_init__.
 
     Every value either comes off the wire through field masks that
     enforce the header's ranges, or from an already-validated header, so
     re-running the dataclass validation per packet is pure overhead.
+    Frozen dataclasses are filled by installing their ``__dict__`` in
+    one call instead of one ``object.__setattr__`` per field.
     """
-    header = object.__new__(DipHeader)
-    set_attr = object.__setattr__
-    set_attr(header, "fns", fns)
-    set_attr(header, "locations", locations)
-    set_attr(header, "next_header", next_header)
-    set_attr(header, "hop_limit", hop_limit)
-    set_attr(header, "parallel", parallel)
-    set_attr(header, "reserved", reserved)
-    return header
-
-
-def _fast_output_packet(
-    header: DipHeader, locations: bytes, payload: bytes
-) -> DipPacket:
-    """The rewritten packet a FORWARD decision emits (hop limit -1)."""
-    out_header = _fast_header(
-        header.fns,
-        locations,
-        header.next_header,
-        header.hop_limit - 1,
-        header.parallel,
-        header.reserved,
+    header = _new(DipHeader)
+    _set_attr(
+        header,
+        "__dict__",
+        {
+            "fns": fns,
+            "locations": locations,
+            "next_header": next_header,
+            "hop_limit": hop_limit,
+            "parallel": parallel,
+            "reserved": reserved,
+        },
     )
-    packet = object.__new__(DipPacket)
-    object.__setattr__(packet, "header", out_header)
-    object.__setattr__(packet, "payload", payload)
+    packet = _new(DipPacket)
+    _set_attr(packet, "__dict__", {"header": header, "payload": payload})
     return packet
+
+
+def _result(
+    decision, ports, packet, notes, cycles, cycles_sequential,
+    cycles_parallel, unsupported_key, scratch, failure,
+) -> ProcessResult:
+    """Build a ProcessResult without the frozen dataclass __init__."""
+    result = _new(ProcessResult)
+    _set_attr(
+        result,
+        "__dict__",
+        {
+            "decision": decision,
+            "ports": ports,
+            "packet": packet,
+            "notes": notes,
+            "cycles": cycles,
+            "cycles_sequential": cycles_sequential,
+            "cycles_parallel": cycles_parallel,
+            "unsupported_key": unsupported_key,
+            "scratch": scratch,
+            "failure": failure,
+        },
+    )
+    return result
+
+
+def _flow_key(
+    program: _CompiledProgram,
+    locations: bytes,
+    parse_cycles: int,
+    parallel: bool,
+    ingress_port: int,
+    collect_notes: bool,
+) -> tuple:
+    """The decision-cache key for one packet of a cacheable program.
+
+    Program identity, the values of the fields its router FNs read,
+    and the per-packet inputs that can change the outcome.
+    """
+    if program.read_cover == len(locations):
+        values = locations
+    elif program.read_slices is not None:
+        values = tuple(locations[a:b] for a, b in program.read_slices)
+    else:
+        view = BitView(locations)
+        values = tuple(
+            view.get_uint(loc, length) for loc, length in program.reads
+        )
+    return (program, values, parse_cycles, parallel, ingress_port, collect_notes)
+
+
+def _hit_result(
+    entry,
+    fns: Tuple[FieldOperation, ...],
+    locations: bytes,
+    next_header: int,
+    hop_limit: int,
+    parallel: bool,
+    reserved: int,
+    payload: bytes,
+) -> ProcessResult:
+    """A cached decision replayed onto one packet's header fields."""
+    out_packet = None
+    if entry.has_packet:
+        loc_splices = entry.loc_splices
+        if loc_splices is not None:
+            buffer = bytearray(locations)
+            for offset, replacement in loc_splices:
+                buffer[offset : offset + len(replacement)] = replacement
+            locations = bytes(buffer)
+        out_packet = _make_packet(
+            fns, locations, next_header, hop_limit - 1, parallel, reserved,
+            payload,
+        )
+    return _result(
+        entry.decision, entry.ports, out_packet, entry.notes, entry.cycles,
+        entry.cycles_sequential, entry.cycles_parallel,
+        entry.unsupported_key, dict(entry.scratch), entry.failure,
+    )

@@ -136,31 +136,6 @@ def _lpm_intervals(fib):
     )
 
 
-def _result(
-    decision, ports, packet, notes, cycles, seq, par, scratch, failure
-):
-    """ProcessResult without dataclass __init__ (slow-path constructor).
-
-    The kernel's hot loop inlines this as a wholesale ``__dict__``
-    assignment (one dict literal instead of ten ``__setattr__`` calls);
-    this helper keeps the same trick available to non-loop call sites.
-    """
-    result = object.__new__(ProcessResult)
-    object.__setattr__(result, "__dict__", {
-        "decision": decision,
-        "ports": ports,
-        "packet": packet,
-        "notes": notes,
-        "cycles": cycles,
-        "cycles_sequential": seq,
-        "cycles_parallel": par,
-        "unsupported_key": None,
-        "scratch": scratch,
-        "failure": failure,
-    })
-    return result
-
-
 class _Kernel:
     """One compiled program: vectorized Algorithm 1 over a column batch."""
 
@@ -520,7 +495,7 @@ class ColumnarSpecializer:
         self._token: Optional[tuple] = None
         self._port_tuples: Dict[int, tuple] = {}
         # Bulk-telemetry feed: per-kernel-run tuples drained into the
-        # processor's pending-telemetry accumulator; None = off.
+        # processor's telemetry accumulation point; None = off.
         self._results: Optional[list] = None
 
     # ------------------------------------------------------------------
@@ -795,41 +770,35 @@ class ColumnarSpecializer:
 
     # ------------------------------------------------------------------
     def _flush_telemetry(self) -> None:
-        """Feed the kernel runs' bulk metrics into the processor's
-        pending-telemetry accumulator, then flush once for the batch.
+        """Feed the kernel runs' bulk metrics into the processor's one
+        telemetry accumulation point, once for the batch.
 
-        Mirrors the instrumented scalar walk: one cycles observation
-        and one decision count per decided packet, one program's worth
-        of op counts per decided packet (hop-expired drops included,
-        matching the scalar accounting), nothing for packets the
-        kernel handed back to the scalar path (they were counted by
-        the instrumented walk themselves).
+        Mirrors the scalar walk: one cycles observation, one decision
+        count and one program's worth of op counts per decided packet
+        (hop-expired drops included, matching the scalar accounting),
+        nothing for packets the kernel handed back to the scalar path
+        (its batch loop counted them itself).
         """
-        processor = self.processor
         runs = self._results
         self._results = []
-        if runs:
-            cycles = processor._tel_pending_cycles
-            ops = processor._tel_pending_ops
-            decisions = processor._tel_pending_decisions
-            for eff_l, program, fate_l, fb_l, hop0_l, k in runs:
-                decided = 0
-                for j in range(k):
-                    if fb_l[j]:
-                        continue
-                    decided += 1
-                    if hop0_l[j]:
-                        cycles.append(0)
-                        decisions.append(Decision.DROP)
+        cycles, programs, decisions = [], [], []
+        for eff_l, program, fate_l, fb_l, hop0_l, k in runs:
+            decided = 0
+            for j in range(k):
+                if fb_l[j]:
+                    continue
+                decided += 1
+                if hop0_l[j]:
+                    cycles.append(0)
+                    decisions.append(Decision.DROP)
+                else:
+                    cycles.append(eff_l[j])
+                    kind = fate_l[j]
+                    if kind == _FATE_FORWARD:
+                        decisions.append(Decision.FORWARD)
+                    elif kind == _FATE_DELIVER:
+                        decisions.append(Decision.DELIVER)
                     else:
-                        cycles.append(eff_l[j])
-                        kind = fate_l[j]
-                        if kind == _FATE_FORWARD:
-                            decisions.append(Decision.FORWARD)
-                        elif kind == _FATE_DELIVER:
-                            decisions.append(Decision.DELIVER)
-                        else:
-                            decisions.append(Decision.DROP)
-                for key, count in program.op_counts.items():
-                    ops[key] = ops.get(key, 0) + count * decided
-        processor._tel_flush()
+                        decisions.append(Decision.DROP)
+            programs += [program] * decided
+        self.processor._tel_record(cycles, programs, decisions)

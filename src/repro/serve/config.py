@@ -40,7 +40,6 @@ class ServeConfig:
     batch_timeout_ms: float = 5.0
     max_inflight: int = 4096
     ring_capacity: int = 8192
-    flow_cache: bool = True
     # Bounded-state knobs for the default content-delivery node.
     cs_capacity: int = 256
     cs_ttl: Optional[float] = 30.0

@@ -159,7 +159,9 @@ class ServeCore:
                 batch_size=self.config.batch_max,
                 ring_capacity=self.config.ring_capacity,
                 backpressure="drop-tail",
-                flow_cache=self.config.flow_cache,
+                # Always on: pure programs hit, and impure ones (the
+                # NDN content load) bypass for one counter bump.
+                flow_cache=True,
             ),
             registry_factory=registry_factory,
             clock=wall_clock,

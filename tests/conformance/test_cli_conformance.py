@@ -19,7 +19,7 @@ def run_cli(*argv):
 
 def test_corpus_replay_is_clean():
     code, text = run_cli(
-        "conformance", "--corpus", CORPUS, "--executors", "process,dataplane"
+        "conformance", "--corpus", CORPUS, "--executors", "process-batch,dataplane"
     )
     assert code == 0
     assert "corpus replay" in text
@@ -33,7 +33,7 @@ def test_fuzz_writes_a_json_report(tmp_path):
         "--fuzz", "16",
         "--seed", "3",
         "--scenarios", "ip",
-        "--executors", "process",
+        "--executors", "process-batch",
         "--json", str(report_path),
     )
     assert code == 0
@@ -41,7 +41,7 @@ def test_fuzz_writes_a_json_report(tmp_path):
     data = json.loads(report_path.read_text())
     assert data["ok"] is True
     assert data["packets"] == 16
-    assert data["executors"] == ["process"]
+    assert data["executors"] == ["process-batch"]
     assert f"report written to {report_path}" in text
 
 
@@ -55,7 +55,7 @@ def test_record_regenerates_but_preserves_regressions(tmp_path):
     )
     save_corpus([keeper], target)
     code, text = run_cli(
-        "conformance", "--record", str(target), "--executors", "process"
+        "conformance", "--record", str(target), "--executors", "process-batch"
     )
     assert code == 0
     assert "recorded" in text

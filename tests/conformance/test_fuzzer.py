@@ -89,7 +89,7 @@ def run_case_ok(scenario, wires, spec):
 class TestRunFuzz:
     def test_clean_and_deterministic(self):
         kwargs = dict(
-            seed=5, scenarios=("ip",), executors=("process",), case_size=12
+            seed=5, scenarios=("ip",), executors=("process-batch",), case_size=12
         )
         first = run_fuzz(24, **kwargs)
         second = run_fuzz(24, **kwargs)
@@ -102,7 +102,7 @@ class TestRunFuzz:
             16,
             seed=1,
             scenarios=("ip", "xia"),
-            executors=("process",),
+            executors=("process-batch",),
             case_size=8,
         )
         assert set(report.scenarios) == {"ip", "xia"}
@@ -112,7 +112,7 @@ class TestRunFuzz:
             10**6,
             seed=0,
             scenarios=("ip",),
-            executors=("process",),
+            executors=("process-batch",),
             max_seconds=0.0,
         )
         assert report.packets == 0 and report.cases == 0
@@ -123,7 +123,7 @@ class TestRunFuzz:
             18,
             seed=2,
             scenarios=("ip",),
-            executors=("process",),
+            executors=("process-batch",),
             case_size=6,
             progress=lambda r: seen.append(r.packets),
         )

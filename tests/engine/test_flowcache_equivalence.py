@@ -15,10 +15,13 @@ Three families of guarantees:
   serves a stale decision.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.core.flowcache import FlowDecisionCache
 from repro.core.fn import OperationKey
+from repro.core.packet import DipPacket
 from repro.core.processor import Decision, RouterProcessor
 from repro.core.state import NodeState
 from repro.dataplane.costs import CycleCostModel
@@ -32,7 +35,34 @@ from repro.workloads.generators import (
     make_ndn_opt_workload,
     make_opt_workload,
 )
+from repro.workloads.attack import attack_state_factory, legit_wires
 from repro.workloads.throughput import dip32_state_factory
+
+
+def make_mixed_dip32_ndn_workload(packet_count, seed, cost_model):
+    """Pure DIP-32 forwarding interleaved with impure NDN interests and
+    data in one batch, alternating raw wire bytes and decoded packets
+    so both input kinds share (and must agree on) cache entries."""
+    wires = legit_wires(seed, packet_count)
+    return SimpleNamespace(
+        processor=RouterProcessor(
+            attack_state_factory(seed=seed), cost_model=cost_model
+        ),
+        packets=[
+            wire if index % 2 else DipPacket.decode(wire)
+            for index, wire in enumerate(wires)
+        ],
+    )
+
+
+def is_ndn(packet) -> bool:
+    if not isinstance(packet, DipPacket):
+        packet = DipPacket.decode(packet)
+    return any(
+        fn.key in (OperationKey.FIB, OperationKey.PIT)
+        for fn in packet.header.fns
+    )
+
 
 PURE_MAKERS = [
     make_dip_ipv4_workload,
@@ -43,7 +73,7 @@ STATEFUL_MAKERS = [
     make_opt_workload,
     make_ndn_opt_workload,
 ]
-ALL_MAKERS = PURE_MAKERS + STATEFUL_MAKERS
+ALL_MAKERS = PURE_MAKERS + STATEFUL_MAKERS + [make_mixed_dip32_ndn_workload]
 
 ROUNDS = 3
 COUNT = 80
@@ -139,6 +169,37 @@ class TestClassification:
         assert stats.misses == stats.size
         assert stats.hits == ROUNDS * COUNT - stats.misses
         assert stats.hits >= 2 * COUNT
+
+    def test_mixed_batch_counts_every_packet_once(self):
+        """Every packet of a pure/impure mix is exactly one of hit, miss
+        or bypass, and the impure NDN packets are only ever bypasses."""
+        _, _, cache = run_rounds(make_mixed_dip32_ndn_workload, capacity=4096)
+        packets = make_mixed_dip32_ndn_workload(COUNT, 5, None).packets
+        ndn = sum(1 for packet in packets if is_ndn(packet))
+        assert 0 < ndn < COUNT
+        stats = cache.stats()
+        assert stats.hits + stats.misses + stats.bypasses == ROUNDS * COUNT
+        assert stats.bypasses == ROUNDS * ndn
+        assert stats.misses == stats.size
+        assert stats.hits > 0
+
+    def test_process_is_a_cached_batch_of_one(self):
+        """``process()`` goes through the attached cache like a batch of
+        one: identical results, one hit/miss/bypass per packet."""
+        reference = make_mixed_dip32_ndn_workload(COUNT, 5, CycleCostModel())
+        cached = make_mixed_dip32_ndn_workload(COUNT, 5, CycleCostModel())
+        cache = FlowDecisionCache(capacity=4096)
+        cached.processor.flow_cache = cache
+        for _ in range(ROUNDS):
+            for ref_packet, packet in zip(reference.packets, cached.packets):
+                assert cached.processor.process(packet) == (
+                    reference.processor.process(ref_packet)
+                )
+        ndn = sum(1 for packet in cached.packets if is_ndn(packet))
+        stats = cache.stats()
+        assert stats.hits + stats.misses + stats.bypasses == ROUNDS * COUNT
+        assert stats.bypasses == ROUNDS * ndn
+        assert stats.hits > 0
 
     def test_hop_limit_zero_bypasses(self):
         cache = FlowDecisionCache(capacity=16)

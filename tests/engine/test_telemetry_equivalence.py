@@ -96,6 +96,49 @@ class TestProcessorEquivalence:
             sum(result.cycles for result in plain)
         )
 
+    @pytest.mark.parametrize("maker", ALL_MAKERS)
+    def test_process_records_like_a_batch_of_one(self, maker):
+        """``process(p)`` moves the walk counters exactly as
+        ``process_batch([p])`` does: it is a batch of one."""
+
+        def recorded(run_one):
+            cost_model = CycleCostModel()
+            workload = maker(packet_count=COUNT, seed=11, cost_model=cost_model)
+            registry = MetricsRegistry()
+            processor = RouterProcessor(
+                workload.processor.state,
+                cost_model=cost_model,
+                telemetry=registry,
+            )
+            for packet in workload.packets:
+                run_one(processor, packet)
+            snap = registry.snapshot()
+            cycles = snap.histograms["processor_fn_cycles"]
+            counters = {
+                name: value
+                for name, value in snap.counters.items()
+                if name.startswith(
+                    ("processor_decisions_total", "processor_fn_ops_total")
+                )
+            }
+            return counters, (cycles.count, cycles.sum)
+
+        single = recorded(lambda processor, packet: processor.process(packet))
+        batch = recorded(
+            lambda processor, packet: processor.process_batch([packet])
+        )
+        assert single == batch
+        counters, (count, _) = single
+        assert count == COUNT
+        assert sum(
+            value
+            for name, value in counters.items()
+            if name.startswith("processor_decisions_total")
+        ) == COUNT
+        assert any(
+            name.startswith("processor_fn_ops_total") for name in counters
+        )
+
 
 class TestEngineEquivalence:
     def packets(self):
