@@ -16,8 +16,8 @@ the one observability layer the whole reproduction reports through:
 
 Telemetry is **off by default**: every consumer defaults to
 :data:`NULL_REGISTRY`/:data:`NULL_TRACER`, which are falsy no-ops, so
-the per-packet fast path carries no telemetry conditionals (cost
-budget: <=5% on the engine throughput bench; see DESIGN.md 3.8).
+a disabled fast path records nothing (cost budget: <=5% on the engine
+throughput bench; see DESIGN.md 3.8).
 """
 
 from repro.telemetry.export import (

@@ -18,9 +18,9 @@ shared core they now all express themselves through:
 
 **Disabled-path cost.**  Telemetry is off by default.  The null
 objects (:data:`NULL_REGISTRY`, :class:`NullCounter`...) are falsy and
-no-op, so components test ``if registry:`` once at construction or
-batch granularity and the per-packet fast path carries no telemetry
-conditionals at all (see DESIGN.md 3.8 for the <=5% budget).
+no-op, so components test ``if registry:`` at construction, per
+batch, or as one local truth test per packet, and a disabled fast path
+records nothing (see DESIGN.md 3.8 for the <=5% budget).
 """
 
 from __future__ import annotations

@@ -8,7 +8,7 @@ import the same mixed stateful workload.
 import random
 
 from repro.conformance.executors import WireOutcome, outcome_from_result
-from repro.core.processor import RouterProcessor
+from repro.conformance.reference import ReferenceInterpreter
 from repro.core.state import NodeState
 from repro.realize.ip import build_ipv4_packet
 from repro.realize.ndn import (
@@ -60,13 +60,15 @@ def build_mixed_packets(seed=5, flows=10, per_flow=4):
 
 
 def sequential_reference(packets):
-    """Normalized WireOutcome per packet from one sequential processor.
+    """Normalized WireOutcome per packet from one sequential reference.
 
-    Uses the conformance layer's normalization so engine reports and
-    ``ProcessResult``s compare in the same wire-level terms the
-    differential matrix (tests/conformance) uses.
+    The walker is the independent :class:`ReferenceInterpreter`, not
+    the compiled walk the engine runs.  Uses the conformance layer's
+    normalization so engine reports and ``ProcessResult``s compare in
+    the same wire-level terms the differential matrix
+    (tests/conformance) uses.
     """
-    processor = RouterProcessor(engine_state_factory())
+    processor = ReferenceInterpreter(engine_state_factory())
     return [outcome_from_result(processor.process(raw)) for raw in packets]
 
 

@@ -1,17 +1,19 @@
-"""process_batch must be *fully* result-identical to process().
+"""process_batch must be *fully* result-identical to the reference.
 
 The batch fast path caches per-program work (FN decode, dispatch,
 parallelism analysis, cycle sums); these tests prove the caching is
 invisible: every field of every ProcessResult -- decision, ports,
-rewritten packet, notes, cycles, scratch -- matches the reference
-interpreter, across cost models, resource limits, registries, raw and
-decoded inputs, and randomly generated FN programs.
+rewritten packet, notes, cycles, scratch -- matches the independent
+Algorithm 1 walker, :class:`ReferenceInterpreter`, across cost models,
+resource limits, registries, raw and decoded inputs, and randomly
+generated FN programs.
 """
 
 import random
 
 import pytest
 
+from repro.conformance.reference import ReferenceInterpreter
 from repro.core.fn import FieldOperation, OperationKey
 from repro.core.header import DipHeader
 from repro.core.limits import ProcessingLimits
@@ -45,8 +47,11 @@ def outcome(call):
 
 
 def assert_identical(packets, limits=None, cost_model=None, registry=None):
-    """process() and process_batch() agree, packet by packet, fully."""
-    ref = RouterProcessor(
+    """The reference, process() and process_batch() agree, fully."""
+    ref = ReferenceInterpreter(
+        make_state(limits), registry=registry, cost_model=cost_model
+    )
+    one = RouterProcessor(
         make_state(limits), registry=registry, cost_model=cost_model
     )
     bat = RouterProcessor(
@@ -54,6 +59,9 @@ def assert_identical(packets, limits=None, cost_model=None, registry=None):
     )
     for packet in packets:
         expected = outcome(lambda: ref.process(packet))
+        assert outcome(lambda: one.process(packet)) == expected, (
+            f"process() mismatch for {packet!r}"
+        )
         got = outcome(
             lambda: bat.process_batch([packet], collect_notes=True)[0]
         )
@@ -72,7 +80,7 @@ class TestDip32Workload:
 
         packets = [p.encode() if raw else p for p in workload.packets]
         # the workload's own FIB (same seed), so LPM hits and misses mix
-        ref = RouterProcessor(
+        ref = ReferenceInterpreter(
             dip32_state_factory(seed=11), cost_model=cost_model
         )
         bat = RouterProcessor(
@@ -85,7 +93,7 @@ class TestDip32Workload:
     def test_batch_without_notes_matches_everything_else(self, workload):
         from repro.workloads.throughput import dip32_state_factory
 
-        ref = RouterProcessor(dip32_state_factory(seed=11))
+        ref = ReferenceInterpreter(dip32_state_factory(seed=11))
         bat = RouterProcessor(dip32_state_factory(seed=11))
         for p, expected in zip(
             workload.packets, [ref.process(p) for p in workload.packets]
@@ -115,7 +123,7 @@ class TestEdgeFates:
             locations=bytes(4),
         )
         packet = DipPacket(header=header)
-        expected = RouterProcessor(state_ref).process(packet)
+        expected = ReferenceInterpreter(state_ref).process(packet)
         got = RouterProcessor(state_bat).process_batch(
             [packet], collect_notes=True
         )[0]
@@ -210,7 +218,7 @@ class TestHeterogeneousRegistry:
         after = processor.process_batch([packet], collect_notes=True)[0]
         # MATCH_32 is not path-critical: now silently ignored, and with
         # no other forwarding FN the packet drops.
-        assert after == RouterProcessor(
+        assert after == ReferenceInterpreter(
             make_state(), registry=processor.registry
         ).process(packet)
         processor.registry.register(Match32Operation())
