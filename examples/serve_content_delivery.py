@@ -63,12 +63,12 @@ async def scenario(seconds: float):
     )
     daemon = ServingDaemon(config)
     serve_task = asyncio.ensure_future(daemon.serve())
-    while daemon._http_server is None:
+    while daemon.metrics_address is None:
         if serve_task.done():
             serve_task.result()
         await asyncio.sleep(0.01)
-    udp_port = daemon._transport.get_extra_info("sockname")[1]
-    http_port = daemon._http_server.sockets[0].getsockname()[1]
+    udp_port = daemon.address[1]
+    http_port = daemon.metrics_address[1]
     print(f"daemon up: udp={udp_port} http={http_port} "
           f"(pit<={PIT_CAPACITY}, cs<={CS_CAPACITY}, ttl=10s)")
 

@@ -1018,76 +1018,88 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
         help="print the snapshot as JSON instead of a table",
     )
 
+    from repro.serve.config import ServeConfig
+
+    # Every default comes from ServeConfig, the one place they live.
+    serve_defaults = ServeConfig()
     serve = sub.add_parser(
         "serve",
         help="run the long-lived asyncio serving daemon "
         "(UDP ingress + /metrics /healthz /reconfig control plane)",
     )
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=9310)
-    serve.add_argument("--metrics-port", type=int, default=9311)
-    serve.add_argument("--shards", type=int, default=2)
+    serve.add_argument("--host", default=serve_defaults.host)
+    serve.add_argument("--port", type=int, default=serve_defaults.port)
     serve.add_argument(
-        "--backend", choices=["serial", "process"], default="serial"
+        "--metrics-port", type=int, default=serve_defaults.metrics_port
+    )
+    serve.add_argument("--shards", type=int, default=serve_defaults.shards)
+    serve.add_argument(
+        "--backend",
+        choices=["serial", "process"],
+        default=serve_defaults.backend,
     )
     serve.add_argument(
         "--batch-max",
         type=int,
-        default=64,
+        default=serve_defaults.batch_max,
         help="size-based flush trigger (packets per engine batch)",
     )
     serve.add_argument(
         "--batch-timeout-ms",
         type=float,
-        default=5.0,
-        help="time-based flush trigger after the first pending packet",
+        default=serve_defaults.batch_timeout_ms,
+        help="time-based flush trigger after the oldest pending packet",
     )
     serve.add_argument(
         "--max-inflight",
         type=int,
-        default=4096,
+        default=serve_defaults.max_inflight,
         help="admission bound; arrivals past it are shed with accounting",
     )
     serve.add_argument(
         "--cs-capacity",
         type=int,
-        default=256,
+        default=serve_defaults.cs_capacity,
         help="content-store entries per shard (0 disables caching)",
     )
     serve.add_argument(
         "--cs-ttl",
         type=float,
-        default=30.0,
+        default=serve_defaults.cs_ttl or 0.0,
         help="content-store entry lifetime in seconds (0 = no TTL)",
     )
     serve.add_argument(
         "--pit-capacity",
         type=int,
-        default=2048,
+        default=serve_defaults.pit_capacity or 0,
         help="PIT entries per shard (0 = unbounded)",
     )
     serve.add_argument(
-        "--pit-eviction", choices=["lru", "fifo"], default="lru"
+        "--pit-eviction",
+        choices=["lru", "fifo"],
+        default=serve_defaults.pit_eviction,
     )
-    serve.add_argument("--content-count", type=int, default=512)
-    serve.add_argument("--seed", type=int, default=7)
+    serve.add_argument(
+        "--content-count", type=int, default=serve_defaults.content_count
+    )
+    serve.add_argument("--seed", type=int, default=serve_defaults.seed)
     serve.add_argument(
         "--mitigation",
         action=argparse.BooleanOptionalAction,
-        default=False,
+        default=serve_defaults.mitigation,
         help="attack-mitigation gate in front of the ingress queue "
         "(token-bucket rate limiting, F_pass sampling, circuit breaker)",
     )
     serve.add_argument(
         "--max-seconds",
         type=float,
-        default=None,
+        default=serve_defaults.max_seconds,
         help="stop after this many seconds (default: run until signalled)",
     )
     serve.add_argument(
         "--max-packets",
         type=int,
-        default=None,
+        default=serve_defaults.max_packets,
         help="stop after receiving this many datagrams",
     )
     serve.add_argument(

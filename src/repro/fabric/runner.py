@@ -319,6 +319,31 @@ class FabricRun:
         }
         pipes = []
         workers = []
+        lost = (BrokenPipeError, EOFError, ConnectionResetError)
+
+        def dead(index: int, exc: BaseException) -> FabricError:
+            workers[index].join(timeout=1.0)
+            mine = [n for n in names if placement[n] == index]
+            return FabricError(
+                f"fabric worker {index} (components {mine}) died, exit "
+                f"code {workers[index].exitcode}: {exc!r}"
+            )
+
+        def send(index: int, message: Any) -> None:
+            try:
+                pipes[index].send(message)
+            except lost as exc:
+                raise dead(index, exc) from exc
+
+        def recv(index: int) -> Any:
+            try:
+                status, payload = pipes[index].recv()
+            except lost as exc:
+                raise dead(index, exc) from exc
+            if status == "error":
+                raise FabricError(f"fabric worker failed:\n{payload}")
+            return payload
+
         try:
             for index in range(self.processes):
                 mine = [n for n in names if placement[n] == index]
@@ -358,27 +383,19 @@ class FabricRun:
                     raise FabricError(
                         f"fabric exceeded {self.max_rounds} rounds"
                     )
-                waiting = []
+                waiting = {}
                 for index in sorted(active):
                     batch = inboxes[index]
                     inboxes[index] = []
-                    pipes[index].send(
-                        ("start" if rounds == 1 else "step", batch)
-                    )
-                    waiting.append(pipes[index])
+                    send(index, ("start" if rounds == 1 else "step", batch))
+                    waiting[pipes[index]] = index
                 outbound: List[Any] = []
                 while waiting:
-                    for conn in conn_wait(waiting):
-                        status, payload = conn.recv()
-                        if status == "error":
-                            raise FabricError(
-                                f"fabric worker failed:\n{payload}"
-                            )
-                        messages, worker_acks = payload
+                    for conn in conn_wait(list(waiting)):
+                        messages, worker_acks = recv(waiting.pop(conn))
                         outbound.extend(messages)
                         for ack in worker_acks:
                             acks[ack.component] = ack
-                        waiting.remove(conn)
                 for message in outbound:
                     if isinstance(message, Deliver):
                         counters["delivers"] += 1
@@ -413,15 +430,10 @@ class FabricRun:
                 )
 
             reports: Dict[str, Dict[str, Any]] = {}
-            for pipe in pipes:
-                pipe.send(("report", None))
-            for pipe in pipes:
-                status, payload = pipe.recv()
-                if status == "error":
-                    raise FabricError(
-                        f"fabric worker failed:\n{payload}"
-                    )
-                reports.update(payload)
+            for index in range(self.processes):
+                send(index, ("report", None))
+            for index in range(self.processes):
+                reports.update(recv(index))
             clocks = {
                 name: acks[name].clock if name in acks else 0.0
                 for name in names

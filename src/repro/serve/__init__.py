@@ -7,8 +7,10 @@ Everything below this package turns the run-to-completion
   shared by the CLI, the daemon and the tests;
 - :mod:`repro.serve.core` -- :class:`ServeCore`, the transport-free
   ingress/batcher/conservation core (also the conformance executor);
-- :mod:`repro.serve.daemon` -- the asyncio UDP ingress + HTTP control
-  plane (``/metrics``, ``/healthz``, ``/reconfig``);
+- :mod:`repro.serve.daemon` -- UDP ingress (read up to a budget per
+  wakeup, flushed on the ``batch_max`` size trigger or the
+  ``batch_timeout_ms`` deadline) and the HTTP control plane
+  (``/metrics``, ``/healthz``, ``/reconfig``) on one asyncio thread;
 - :mod:`repro.serve.client` -- the asyncio Zipf load generator;
 - :mod:`repro.serve.state` -- the picklable content-delivery node
   state the daemon serves by default.

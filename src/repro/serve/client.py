@@ -25,6 +25,7 @@ import argparse
 import asyncio
 import json
 import random
+import socket
 import time
 from typing import Dict, List, Optional
 
@@ -116,6 +117,11 @@ async def run_load(
     transport, protocol = await loop.create_datagram_endpoint(
         lambda: _ClientProtocol(semaphore),
         remote_addr=(host, port),
+    )
+    # The daemon answers a batch at once, so a window of replies can
+    # wait here: ~1 KiB of kernel memory each (the kernel caps this).
+    transport.get_extra_info("socket").setsockopt(
+        socket.SOL_SOCKET, socket.SO_RCVBUF, window * 2048
     )
     load = build_load(
         packets,

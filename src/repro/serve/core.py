@@ -4,18 +4,16 @@ Everything the daemon does between "datagram arrived" and "reply
 bytes ready" lives here, with no sockets and no event loop, so the
 same code is driven three ways:
 
-- by :mod:`repro.serve.daemon` (asyncio UDP + HTTP around it);
+- by :mod:`repro.serve.daemon` (UDP + HTTP on one asyncio thread);
 - by the conformance matrix (the ``serve`` executor submits a
   scenario's wire corpus and flushes synchronously, proving the
   framing/batching path preserves Algorithm 1 decisions);
 - by unit tests, which can step ``submit``/``flush`` deterministically.
 
-Threading contract: ``submit`` is called from the event-loop thread,
-``flush``/``reconfigure``/``snapshot_metrics`` from the daemon's
-single-worker executor thread (one thread, so engine runs and
-reconfigs serialize and in-flight batches drain on the old generation
-before a swap applies).  The shared ingress queue and counters are the
-only cross-thread state and sit behind one lock.
+Threading contract: one thread at a time.  The daemon calls every
+method from its event-loop thread, so a flush runs to completion
+before a reconfig or a scrape can start, and in-flight batches drain
+on the old generation before a swap applies.  Nothing here locks.
 
 Conservation (DESIGN.md 3.11, extending PR 4's law): every datagram
 ever submitted is *offered*; it is then exactly one of processed /
@@ -29,7 +27,6 @@ shed (admission control refused it) / rate-limited or quarantined
 from __future__ import annotations
 
 import functools
-import threading
 import time
 from collections import deque
 from dataclasses import replace
@@ -170,9 +167,7 @@ class ServeCore:
         # The mitigation gate (DESIGN.md 3.14) sits in front of the
         # ingress queue: refused datagrams never take a queue slot, so
         # a flood cannot crowd legit arrivals out of max_inflight.
-        # Gate state is guarded by self._lock (submit runs on the
-        # event-loop thread); breaker transitions are actuated from
-        # flush(), the thread that owns the engine.
+        # Breaker transitions are actuated from flush().
         self.gate = None
         if mitigation_config is not None or self.config.mitigation:
             from repro.resilience.mitigation import (
@@ -188,7 +183,6 @@ class ServeCore:
             )
         self._breaker_restore = None
         self.started_at = time.monotonic()
-        self._lock = threading.Lock()
         self._queue: Deque[Tuple[object, bytes]] = deque()
         self._offered = 0
         self._shed = 0
@@ -202,7 +196,7 @@ class ServeCore:
         self._latencies: Deque[float] = deque(maxlen=_LATENCY_WINDOW)
 
     # ------------------------------------------------------------------
-    # ingress side (event-loop thread)
+    # ingress side
     # ------------------------------------------------------------------
     def submit(self, data: bytes, addr: object) -> bool:
         """Offer one datagram; False means it was refused (shed, or a
@@ -221,28 +215,26 @@ class ServeCore:
         processed + dropped + dead-lettered + shed + rate-limited +
         quarantined + pending``.
         """
-        with self._lock:
-            self._offered += 1
-            if self.gate is not None:
-                verdict = self.gate.admit(data)
-                if verdict == "rate-limited":
-                    self._rate_limited += 1
-                    return verdict
-                if verdict == "quarantined":
-                    self._quarantined += 1
-                    return verdict
-            if len(self._queue) >= self.config.max_inflight:
-                self._shed += 1
-                return "shed"
-            self._queue.append((addr, data))
-            return "queued"
+        self._offered += 1
+        if self.gate is not None:
+            verdict = self.gate.admit(data)
+            if verdict == "rate-limited":
+                self._rate_limited += 1
+                return verdict
+            if verdict == "quarantined":
+                self._quarantined += 1
+                return verdict
+        if len(self._queue) >= self.config.max_inflight:
+            self._shed += 1
+            return "shed"
+        self._queue.append((addr, data))
+        return "queued"
 
     def pending(self) -> int:
-        with self._lock:
-            return len(self._queue)
+        return len(self._queue)
 
     # ------------------------------------------------------------------
-    # engine side (executor thread)
+    # engine side
     # ------------------------------------------------------------------
     def flush(
         self, now: Optional[float] = None, collect: Optional[list] = None
@@ -258,23 +250,21 @@ class ServeCore:
         conformance differ compares, since the reply wire format keeps
         the decision but not the failure-reason taxonomy.
         """
-        with self._lock:
-            batch: List[bytes] = []
-            addrs: List[object] = []
-            while self._queue and len(batch) < self.config.batch_max:
-                addr, data = self._queue.popleft()
-                addrs.append(addr)
-                batch.append(data)
+        batch: List[bytes] = []
+        addrs: List[object] = []
+        while self._queue and len(batch) < self.config.batch_max:
+            addr, data = self._queue.popleft()
+            addrs.append(addr)
+            batch.append(data)
         if not batch:
             return []
         stamp = self.engine.clock() if now is None else now
         report = self.engine.run(batch, now=stamp)
         if self.gate is not None:
-            # Breaker transitions actuate here -- flush owns the
-            # engine thread, the gate (locked) only records verdicts.
-            with self._lock:
-                transition = self.gate.poll_breaker()
-                policy = self.gate.config.breaker_policy
+            # Breaker transitions actuate here, between engine runs;
+            # the gate itself only records verdicts.
+            transition = self.gate.poll_breaker()
+            policy = self.gate.config.breaker_policy
             if transition == "trip":
                 self._breaker_restore = self.engine.set_degrade(policy)
             elif transition == "recover":
@@ -293,22 +283,17 @@ class ServeCore:
             )
             for addr, outcome in zip(addrs, report.outcomes)
         ]
-        with self._lock:
-            # Per-packet/per-shard tuples are stripped before folding:
-            # the accumulator lives for the daemon's lifetime and must
-            # stay O(1) per flush, not O(total packets).
-            self._report = self._report.merge(
-                replace(
-                    report,
-                    outcomes=(),
-                    shards=(),
-                    rings=(),
-                    dead_letter=(),
-                )
+        # Per-packet/per-shard tuples are stripped before folding: the
+        # accumulator lives for the daemon's lifetime and must stay O(1)
+        # per flush, not O(total packets).
+        self._report = self._report.merge(
+            replace(
+                report, outcomes=(), shards=(), rings=(), dead_letter=()
             )
-            self._latencies.append(report.wall_seconds)
-            self._flushes += 1
-            self._replied += len(replies)
+        )
+        self._latencies.append(report.wall_seconds)
+        self._flushes += 1
+        self._replied += len(replies)
         return replies
 
     def drain(
@@ -321,15 +306,13 @@ class ServeCore:
         return replies
 
     def reconfigure(self, mutation: RegistryMutation) -> Dict[str, int]:
-        """Hot-swap the operation set on every shard (executor thread,
+        """Hot-swap the operation set on every shard (between flushes,
         so every in-flight batch has already drained on the old
         generation by the time this runs)."""
         version = self.engine.reconfigure(mutation)
-        with self._lock:
-            self._reconfigs += 1
-            self._generation += 1
-            generation = self._generation
-        return {"registry_version": version, "generation": generation}
+        self._reconfigs += 1
+        self._generation += 1
+        return {"registry_version": version, "generation": self._generation}
 
     def close(self) -> None:
         self.engine.close()
@@ -339,21 +322,11 @@ class ServeCore:
     # ------------------------------------------------------------------
     def summary(self) -> Dict[str, object]:
         """The daemon's ledger; ``unaccounted`` must be 0 when idle."""
-        with self._lock:
-            report = self._report
-            pending = len(self._queue)
-            offered = self._offered
-            shed = self._shed
-            rate_limited = self._rate_limited
-            quarantined = self._quarantined
-            latencies = sorted(self._latencies)
-            flushes = self._flushes
-            replied = self._replied
-            reconfigs = self._reconfigs
-            generation = self._generation
-            mitigation = (
-                None if self.gate is None else self.gate.stats().to_dict()
-            )
+        report = self._report
+        pending = len(self._queue)
+        offered = self._offered
+        shed = self._shed
+        latencies = sorted(self._latencies)
         uptime = time.monotonic() - self.started_at
         processed = report.packets_processed
         dropped = report.packets_dropped_backpressure
@@ -367,18 +340,20 @@ class ServeCore:
             # The metric-name alias: /healthz consumers grep for the
             # same key /metrics exports (engine_shed_total's source).
             "packets_shed": shed,
-            "rate_limited": rate_limited,
-            "quarantined": quarantined,
+            "rate_limited": self._rate_limited,
+            "quarantined": self._quarantined,
             "pending": pending,
             "unaccounted": (
                 offered - processed - dropped - dead - shed
-                - rate_limited - quarantined - pending
+                - self._rate_limited - self._quarantined - pending
             ),
-            "mitigation": mitigation,
-            "replied": replied,
-            "flushes": flushes,
-            "reconfigs": reconfigs,
-            "generation": generation,
+            "mitigation": (
+                None if self.gate is None else self.gate.stats().to_dict()
+            ),
+            "replied": self._replied,
+            "flushes": self._flushes,
+            "reconfigs": self._reconfigs,
+            "generation": self._generation,
             "decisions": dict(report.decisions),
             "uptime_seconds": uptime,
             "pkts_per_second": processed / uptime if uptime > 0 else 0.0,
@@ -395,35 +370,29 @@ class ServeCore:
 
     def snapshot_metrics(self) -> MetricsSnapshot:
         """Engine counters (accumulated) plus the serve-level ledger."""
-        with self._lock:
-            report = replace(
-                self._report,
-                packets_shed=self._shed,
-                packets_rate_limited=self._rate_limited,
-                packets_quarantined=self._quarantined,
-            )
-            counters = {
-                "serve_offered_total": self._offered,
-                "serve_shed_total": self._shed,
-                "serve_rate_limited_total": self._rate_limited,
-                "serve_quarantined_total": self._quarantined,
-                "serve_replies_total": self._replied,
-                "serve_flushes_total": self._flushes,
-                "serve_reconfigs_total": self._reconfigs,
-            }
-            gauges = {
-                "serve_pending": float(len(self._queue)),
-                "serve_generation": float(self._generation),
-                "serve_uptime_seconds": (
-                    time.monotonic() - self.started_at
-                ),
-            }
-            gate_snapshot = (
-                None if self.gate is None else self.gate.stats().snapshot()
-            )
+        report = replace(
+            self._report,
+            packets_shed=self._shed,
+            packets_rate_limited=self._rate_limited,
+            packets_quarantined=self._quarantined,
+        )
+        counters = {
+            "serve_offered_total": self._offered,
+            "serve_shed_total": self._shed,
+            "serve_rate_limited_total": self._rate_limited,
+            "serve_quarantined_total": self._quarantined,
+            "serve_replies_total": self._replied,
+            "serve_flushes_total": self._flushes,
+            "serve_reconfigs_total": self._reconfigs,
+        }
+        gauges = {
+            "serve_pending": float(len(self._queue)),
+            "serve_generation": float(self._generation),
+            "serve_uptime_seconds": time.monotonic() - self.started_at,
+        }
         snapshot = report.snapshot().merge(
             MetricsSnapshot(counters=counters, gauges=gauges)
         )
-        if gate_snapshot is not None:
-            snapshot = snapshot.merge(gate_snapshot)
+        if self.gate is not None:
+            snapshot = snapshot.merge(self.gate.stats().snapshot())
         return snapshot

@@ -1,23 +1,25 @@
-"""The asyncio serving daemon: UDP ingress + HTTP control plane.
+"""The serving daemon: UDP ingress, batching and HTTP on one thread.
 
-One event loop owns three things:
+The asyncio loop's thread is the only caller of
+:class:`~repro.serve.core.ServeCore`:
 
-- a ``DatagramProtocol`` ingress that submits every datagram to the
-  :class:`~repro.serve.core.ServeCore` (shed refusals answered
-  immediately, accepted packets woken into the batcher);
-- the batcher task: waits for ``batch_max`` pending (event) or
-  ``batch_timeout_ms`` after the first arrival (timeout), then runs
-  ``core.flush`` on the single-worker executor and sends each reply
-  back to its originating socket address;
-- a minimal HTTP server (``asyncio.start_server``; no third-party
-  deps) for ``/metrics`` (Prometheus text), ``/healthz`` (JSON ledger,
-  500 when conservation is broken) and ``/reconfig``
-  (``?drop=4,5`` / ``?restore=1`` -- live operation-set hot-swap).
+- the UDP socket is non-blocking and registered with ``add_reader``.
+  Each wakeup reads datagrams until ``EAGAIN`` or a budget of
+  ``max_inflight + batch_max`` (enough to fill the admission queue and
+  shed the rest of a deeper backlog) and submits each one; refusals
+  are answered at once.  While ``batch_max`` or more are pending it
+  runs ``ServeCore.flush`` and reads again: the size trigger;
+- one ``call_at`` deadline, at most ``batch_timeout_ms`` after the
+  oldest pending arrival, flushes the rest: the time trigger;
+- replies go out with ``sendto``; one that would block waits, in
+  order, in a backlog an ``add_writer`` callback drains;
+- a minimal HTTP server serves ``/metrics`` (Prometheus text),
+  ``/healthz`` (JSON ledger, 500 when conservation is broken) and
+  ``/reconfig`` (``?drop=4,5`` / ``?restore=1`` hot-swap) inline.
 
-Everything that touches the engine goes through the one-thread
-executor, so flushes, reconfigs and metric scrapes serialize without
-any engine-side locking; the ingress queue is the only object shared
-with the loop thread and ServeCore already locks it.
+A flush holds the loop, so flushes, reconfigs and scrapes serialize
+with no locking; the budget bounds a wakeup to about ``max_inflight /
+batch_max + 2`` flushes before HTTP and timers run again.
 """
 
 from __future__ import annotations
@@ -25,9 +27,9 @@ from __future__ import annotations
 import asyncio
 import json
 import signal
-import time
-from typing import Dict, Optional, Tuple
-from concurrent.futures import ThreadPoolExecutor
+import socket
+from collections import deque
+from typing import Deque, Dict, Optional, Tuple
 
 from repro.core.registry import RegistryMutation
 from repro.serve.config import ServeConfig
@@ -36,41 +38,12 @@ from repro.telemetry.export import to_prometheus
 
 _HTTP_REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
                  500: "Internal Server Error"}
-
-
-class _IngressProtocol(asyncio.DatagramProtocol):
-    """UDP ingress: submit-or-shed, then wake the batcher."""
-
-    def __init__(self, daemon: "ServingDaemon") -> None:
-        self.daemon = daemon
-        self.transport: Optional[asyncio.DatagramTransport] = None
-
-    def connection_made(self, transport) -> None:
-        self.transport = transport
-
-    def datagram_received(self, data: bytes, addr) -> None:
-        daemon = self.daemon
-        daemon.received += 1
-        status = daemon.core.submit_ex(data, addr)
-        if status == "queued":
-            daemon.wake.set()
-            if daemon.core.pending() >= daemon.config.batch_max:
-                daemon.full.set()
-        elif self.transport is not None:
-            # Refusals (shed / rate-limited / quarantined) are answered
-            # from the loop thread immediately: the whole point of
-            # accounted admission control is that the sender learns,
-            # in-band, why this packet was refused.
-            self.transport.sendto(REFUSAL_REPLIES[status], addr)
-        if (
-            daemon.config.max_packets is not None
-            and daemon.received >= daemon.config.max_packets
-        ):
-            daemon.request_stop("max_packets")
+# Largest UDP payload; recvfrom truncates anything longer.
+_MAX_DATAGRAM = 65535
 
 
 class ServingDaemon:
-    """Lifecycle owner: sockets, batcher task, executor, shutdown."""
+    """Lifecycle owner: sockets, batching triggers, shutdown."""
 
     def __init__(
         self,
@@ -79,57 +52,114 @@ class ServingDaemon:
     ) -> None:
         self.config = config if config is not None else ServeConfig()
         self.core = core if core is not None else ServeCore(self.config)
-        self.wake = asyncio.Event()
-        self.full = asyncio.Event()
         self.stopping = asyncio.Event()
         self.stop_reason: Optional[str] = None
         self.received = 0
-        self._executor = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="serve-engine"
-        )
-        self._transport: Optional[asyncio.DatagramTransport] = None
+        self.budget = self.config.max_inflight + self.config.batch_max
+        self._timeout = self.config.batch_timeout_ms / 1000.0
+        self._sock: Optional[socket.socket] = None
+        self._backlog: Deque[Tuple[bytes, object]] = deque()
+        self._deadline: Optional[asyncio.TimerHandle] = None
         self._http_server: Optional[asyncio.AbstractServer] = None
-        self._batcher: Optional[asyncio.Task] = None
-        # Bound at serve() time (the loop the daemon runs on).
+        # Bound at start() time (the loop the daemon runs on).
         self._loop: Optional[asyncio.AbstractEventLoop] = None
 
-    # ------------------------------------------------------------------
+    @property
+    def address(self) -> Optional[tuple]:
+        """The bound UDP ingress address (None before start())."""
+        return None if self._sock is None else self._sock.getsockname()
+
+    @property
+    def metrics_address(self) -> Optional[tuple]:
+        """The bound HTTP control-plane address (None before start())."""
+        server = self._http_server
+        return None if server is None else server.sockets[0].getsockname()
+
     def request_stop(self, reason: str) -> None:
         """Begin shutdown (idempotent; signal handlers land here)."""
         if not self.stopping.is_set():
             self.stop_reason = reason
             self.stopping.set()
-            self.wake.set()
-            self.full.set()
-
-    async def _run_core(self, fn, *args):
-        """Run one engine-touching callable on the single worker."""
-        return await self._loop.run_in_executor(self._executor, fn, *args)
 
     # ------------------------------------------------------------------
-    # batcher
+    # UDP ingress and the two batching triggers
     # ------------------------------------------------------------------
-    async def _batch_loop(self) -> None:
-        timeout = self.config.batch_timeout_ms / 1000.0
+    def _on_readable(self) -> None:
+        """One wakeup: read up to the budget, admit, flush full batches
+        (reading again after each, so arrivals join the next batch)."""
+        core = self.core
+        sock = self._sock
+        arrived = self._loop.time()
+        budget = self.budget
+        flushed = False
         while True:
-            await self.wake.wait()
-            self.wake.clear()
-            if self.core.pending() < self.config.batch_max:
-                # Time-based trigger: give the batch `timeout` to fill,
-                # cut short by the size trigger (`full`) or shutdown.
+            while budget:
                 try:
-                    await asyncio.wait_for(self.full.wait(), timeout)
-                except asyncio.TimeoutError:
-                    pass
-            self.full.clear()
-            while self.core.pending():
-                replies = await self._run_core(self.core.flush)
-                transport = self._transport
-                if transport is not None:
-                    for addr, payload in replies:
-                        transport.sendto(payload, addr)
-            if self.stopping.is_set() and not self.core.pending():
+                    data, addr = sock.recvfrom(_MAX_DATAGRAM)
+                except OSError:  # EAGAIN, or an ICMP error on the socket
+                    break
+                budget -= 1
+                self.received += 1
+                status = core.submit_ex(data, addr)
+                if status != "queued":
+                    # The sender learns in-band why it was refused.
+                    self._send(REFUSAL_REPLIES[status], addr)
+            if core.pending() < self.config.batch_max:
+                break
+            self._flush()
+            flushed = True
+        if not core.pending():
+            self._disarm()
+        elif flushed or self._deadline is None:
+            # Fewer than batch_max were pending before this wakeup, so
+            # a flush took all of them: what is left arrived just now.
+            self._disarm()
+            self._deadline = self._loop.call_at(
+                arrived + self._timeout, self._on_deadline
+            )
+        limit = self.config.max_packets
+        if limit is not None and self.received >= limit:
+            self.request_stop("max_packets")
+
+    def _on_deadline(self) -> None:
+        """The time trigger: flush the partial batch."""
+        self._disarm()
+        while self.core.pending():
+            self._flush()
+
+    def _disarm(self) -> None:
+        if self._deadline is not None:
+            self._deadline.cancel()
+            self._deadline = None
+
+    def _flush(self) -> None:
+        for addr, payload in self.core.flush():
+            self._send(payload, addr)
+
+    def _send(self, payload: bytes, addr) -> None:
+        if not self._backlog:
+            try:
+                self._sock.sendto(payload, addr)
                 return
+            except BlockingIOError:
+                self._loop.add_writer(self._sock, self._on_writable)
+            except OSError:  # the sender's address is unreachable
+                return
+        self._backlog.append((payload, addr))
+
+    def _on_writable(self) -> None:
+        """Send parked replies in order until the socket would block."""
+        backlog = self._backlog
+        while backlog:
+            payload, addr = backlog[0]
+            try:
+                self._sock.sendto(payload, addr)
+            except BlockingIOError:
+                return
+            except OSError:
+                pass
+            backlog.popleft()
+        self._loop.remove_writer(self._sock)
 
     # ------------------------------------------------------------------
     # HTTP control plane
@@ -148,7 +178,7 @@ class ServingDaemon:
                 await self._respond(writer, 400, "text/plain", "bad request")
                 return
             path, _, query = parts[1].partition("?")
-            status, ctype, body = await self._route(path, query)
+            status, ctype, body = self._route(path, query)
             await self._respond(writer, status, ctype, body)
         except (asyncio.TimeoutError, ConnectionError):
             pass
@@ -159,14 +189,12 @@ class ServingDaemon:
             except (ConnectionError, OSError):  # pragma: no cover
                 pass
 
-    async def _route(
-        self, path: str, query: str
-    ) -> Tuple[int, str, str]:
+    def _route(self, path: str, query: str) -> Tuple[int, str, str]:
         if path == "/metrics":
-            snapshot = await self._run_core(self.core.snapshot_metrics)
+            snapshot = self.core.snapshot_metrics()
             return 200, "text/plain; version=0.0.4", to_prometheus(snapshot)
         if path == "/healthz":
-            summary = await self._run_core(self.core.summary)
+            summary = self.core.summary()
             # In-flight packets are not "unaccounted" -- only a ledger
             # that stays off the law once everything has drained is.
             healthy = summary["unaccounted"] == 0
@@ -182,7 +210,7 @@ class ServingDaemon:
                 return 400, "application/json", json.dumps(
                     {"error": str(exc)}
                 )
-            result = await self._run_core(self.core.reconfigure, mutation)
+            result = self.core.reconfigure(mutation)
             return 200, "application/json", json.dumps(result)
         return 404, "text/plain", "not found"
 
@@ -203,19 +231,27 @@ class ServingDaemon:
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
-    async def serve(self) -> Dict[str, object]:
-        """Run until signalled (or the configured bound); returns the
-        final conservation ledger."""
+    async def start(self) -> None:
+        """Bind the UDP socket and the HTTP server; serve() starts
+        reading."""
         self._loop = asyncio.get_running_loop()
         config = self.config
-        self._transport, _ = await self._loop.create_datagram_endpoint(
-            lambda: _IngressProtocol(self),
-            local_addr=(config.host, config.port),
-        )
+        family, kind, proto, _, addr = socket.getaddrinfo(
+            config.host, config.port, type=socket.SOCK_DGRAM
+        )[0]
+        sock = socket.socket(family, kind, proto)
+        sock.setblocking(False)
+        sock.bind(addr)
+        self._sock = sock
         self._http_server = await asyncio.start_server(
             self._handle_http, config.host, config.metrics_port
         )
-        self._batcher = asyncio.ensure_future(self._batch_loop())
+
+    async def serve(self) -> Dict[str, object]:
+        """Run until signalled (or the configured bound); returns the
+        final conservation ledger."""
+        await self.start()
+        self._loop.add_reader(self._sock, self._on_readable)
         for signum in (signal.SIGINT, signal.SIGTERM):
             try:
                 self._loop.add_signal_handler(
@@ -223,56 +259,39 @@ class ServingDaemon:
                 )
             except (NotImplementedError, RuntimeError):  # pragma: no cover
                 pass  # non-POSIX loops; ^C still raises KeyboardInterrupt
-        deadline = (
-            time.monotonic() + config.max_seconds
-            if config.max_seconds is not None
-            else None
-        )
         try:
-            if deadline is None:
-                await self.stopping.wait()
-            else:
-                while not self.stopping.is_set():
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        self.request_stop("max_seconds")
-                        break
-                    try:
-                        await asyncio.wait_for(
-                            self.stopping.wait(), timeout=remaining
-                        )
-                    except asyncio.TimeoutError:
-                        pass
-            return await self.shutdown()
-        finally:
-            self._executor.shutdown(wait=True)
+            await asyncio.wait_for(
+                self.stopping.wait(), self.config.max_seconds
+            )
+        except asyncio.TimeoutError:
+            self.request_stop("max_seconds")
+        return await self.shutdown()
 
     async def shutdown(self) -> Dict[str, object]:
         """Drain pending packets (replies still go out), then close."""
         self.request_stop(self.stop_reason or "shutdown")
-        # The batcher drains and *answers* everything pending before the
-        # ingress socket closes -- a drain that eats the tail of replies
-        # would leave the load generator unable to account for packets
-        # the ledger says were processed.
-        if self._batcher is not None:
-            self.wake.set()
-            self.full.set()
-            await self._batcher
-            self._batcher = None
-        late = await self._run_core(self.core.drain)
-        if self._transport is not None:
-            for addr, payload in late:
-                self._transport.sendto(payload, addr)
-            self._transport.close()
-            self._transport = None
+        sock = self._sock
+        if sock is not None:
+            self._loop.remove_reader(sock)
+            self._disarm()
+            # Every pending packet is flushed and *answered* before the
+            # socket closes -- a drain that ate the tail of replies
+            # would leave the sender unable to account for packets the
+            # ledger says were processed.  Blocking mode lets the last
+            # replies wait for buffer space instead of being parked.
+            sock.setblocking(True)
+            self._on_deadline()
+            self._on_writable()
+            sock.close()
+            self._sock = None
         if self._http_server is not None:
             self._http_server.close()
             await self._http_server.wait_closed()
             self._http_server = None
-        summary = await self._run_core(self.core.summary)
+        summary = self.core.summary()
         summary["stop_reason"] = self.stop_reason
         summary["received"] = self.received
-        await self._run_core(self.core.close)
+        self.core.close()
         return summary
 
 

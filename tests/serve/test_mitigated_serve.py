@@ -208,8 +208,8 @@ def test_breaker_trip_actuates_engine_degrade_through_flush():
         ):
             core.submit_ex(wire, i)
         assert core.gate.tripped
-        # Actuation happens on the engine thread, inside a flush that
-        # has work (an all-refused batch never reaches the engine).
+        # Actuation happens inside a flush that has work (an
+        # all-refused batch never reaches the engine).
         core.submit_ex(legit_wires(0, 1, stream="serve-kick")[0], "k")
         core.flush(now=0.0)
         assert core.engine.degrade == "pass-to-host"
@@ -259,12 +259,12 @@ def test_daemon_answers_gate_refusals_in_band():
         )
         daemon = ServingDaemon(config, core=core)
         task = asyncio.ensure_future(daemon.serve())
-        while daemon._http_server is None:
+        while daemon.metrics_address is None:
             if task.done():
                 task.result()
             await asyncio.sleep(0.01)
-        udp_port = daemon._transport.get_extra_info("sockname")[1]
-        http_port = daemon._http_server.sockets[0].getsockname()[1]
+        udp_port = daemon.address[1]
+        http_port = daemon.metrics_address[1]
         loop = asyncio.get_running_loop()
 
         replies = []

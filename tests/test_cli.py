@@ -447,3 +447,19 @@ class TestFabric:
         code, text = run_cli("fabric", "--ases", "2")
         assert code == 2
         assert "error" in text
+
+
+def test_bare_serve_parse_builds_the_default_config(monkeypatch):
+    from repro.serve import daemon
+    from repro.serve.config import ServeConfig
+
+    seen = []
+
+    def fake_run_daemon(config, json_out=False, out=None):
+        seen.append(config)
+        return {"unaccounted": 0}
+
+    monkeypatch.setattr(daemon, "run_daemon", fake_run_daemon)
+    code, _ = run_cli("serve")
+    assert code == 0
+    assert seen == [ServeConfig()]
